@@ -17,6 +17,14 @@
 //
 //	dope-trace -app ferret -record run.jsonl
 //	dope-trace -whatif run.jsonl
+//
+// With -replay it also runs no application: it feeds the recorded snapshots
+// to a mechanism from the catalog (-mechanism, sized by -threads and
+// -watts) and prints the configurations it would have chosen — offline
+// mechanism development, the workflow the paper's separation of concerns
+// enables for its third agent (§5):
+//
+//	dope-trace -replay run.jsonl -mechanism gradient
 package main
 
 import (
@@ -39,16 +47,21 @@ func main() {
 		goal     = flag.String("goal", "throughput", "goal: response | throughput | power | static")
 		requests = flag.Int("requests", 200, "number of requests to serve")
 		loadF    = flag.Float64("load", 0.7, "load factor for response-time goals")
-		watts    = flag.Float64("watts", 720, "power budget for -goal power")
+		watts    = flag.Float64("watts", 720, "power budget for -goal power and -mechanism tpc")
 		threads  = flag.Int("threads", 24, "hardware-context budget")
-		record   = flag.String("record", "", "record monitoring snapshots to this JSONL file (for dope-replay)")
+		record   = flag.String("record", "", "record monitoring snapshots to this JSONL file (for -whatif and -replay)")
 		adminAt  = flag.String("admin", "", "serve the administration endpoint at this address (e.g. localhost:7117)")
 		whatif   = flag.String("whatif", "", "offline: print the causal what-if profile of a recorded snapshot log and exit")
+		replayAt = flag.String("replay", "", "offline: replay a recorded snapshot log through -mechanism, print its decisions and exit")
+		mech     = flag.String("mechanism", "tbf", "catalog mechanism for -replay: "+catalogNames())
 	)
 	flag.Parse()
 
 	if *whatif != "" {
 		os.Exit(runWhatIf(*whatif))
+	}
+	if *replayAt != "" {
+		os.Exit(runReplay(*replayAt, *mech, *threads, *watts))
 	}
 
 	s := apps.NewServer(nil)

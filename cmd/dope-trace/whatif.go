@@ -37,15 +37,8 @@ type nestAgg struct {
 // when any snapshot's estimates were non-finite before scrubbing — either
 // means the profile cannot be trusted.
 func runWhatIf(path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dope-trace:", err)
-		return 1
-	}
-	defer f.Close()
-	entries, err := replay.ReadLog(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dope-trace:", err)
+	entries, ok := readLog(path)
+	if !ok {
 		return 1
 	}
 	if len(entries) == 0 {

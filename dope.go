@@ -428,6 +428,26 @@ var Mechanisms = struct {
 	},
 }
 
+// MechanismCatalog maps each shipped mechanism's name to a factory of fresh
+// instances for a machine of threads hardware contexts and, for tpc, a
+// power budget of watts. It is the one name→mechanism table behind PUT
+// /mechanism and dope-trace -replay.
+func MechanismCatalog(threads int, watts float64) map[string]admin.MechanismFactory {
+	return map[string]admin.MechanismFactory{
+		"proportional": func() Mechanism { return Mechanisms.Proportional(threads) },
+		"wqth":         func() Mechanism { return Mechanisms.WQTH(threads, 8, 6) },
+		"wqlinear":     func() Mechanism { return Mechanisms.WQLinear(threads, 8, 14) },
+		"tb":           func() Mechanism { return Mechanisms.TB(threads) },
+		"tbf":          func() Mechanism { return Mechanisms.TBF(threads) },
+		"fdp":          func() Mechanism { return Mechanisms.FDP(threads) },
+		"seda":         func() Mechanism { return Mechanisms.SEDA(8, 1) },
+		"tpc":          func() Mechanism { return Mechanisms.TPC(threads, watts) },
+		"edp":          func() Mechanism { return Mechanisms.EDP(threads) },
+		"loadprop":     func() Mechanism { return Mechanisms.LoadProp(threads) },
+		"gradient":     func() Mechanism { return Mechanisms.Gradient(threads) },
+	}
+}
+
 // AdminHandler returns an HTTP handler exposing the administrator's
 // console for this running system (§4): GET/PUT /config, GET/PUT
 // /mechanism (by catalog name, or "static"), GET /report, GET /stats,
@@ -445,20 +465,7 @@ func (d *DoPE) AdminHandlerWithCollector(col *metrics.Collector) http.Handler {
 	if threads <= 0 {
 		threads = d.Contexts().N()
 	}
-	factories := map[string]admin.MechanismFactory{
-		"proportional": func() Mechanism { return Mechanisms.Proportional(threads) },
-		"wqth":         func() Mechanism { return Mechanisms.WQTH(threads, 8, 6) },
-		"wqlinear":     func() Mechanism { return Mechanisms.WQLinear(threads, 8, 14) },
-		"tb":           func() Mechanism { return Mechanisms.TB(threads) },
-		"tbf":          func() Mechanism { return Mechanisms.TBF(threads) },
-		"fdp":          func() Mechanism { return Mechanisms.FDP(threads) },
-		"seda":         func() Mechanism { return Mechanisms.SEDA(8, 1) },
-		"tpc":          func() Mechanism { return Mechanisms.TPC(threads, d.Goal().PowerBudget) },
-		"edp":          func() Mechanism { return Mechanisms.EDP(threads) },
-		"loadprop":     func() Mechanism { return Mechanisms.LoadProp(threads) },
-		"gradient":     func() Mechanism { return Mechanisms.Gradient(threads) },
-	}
-	return admin.HandlerWithCollector(d.Exec, factories, col)
+	return admin.HandlerWithCollector(d.Exec, MechanismCatalog(threads, d.Goal().PowerBudget), col)
 }
 
 // RegisterPowerModel wires the simulated power substrate into the

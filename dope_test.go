@@ -5,12 +5,15 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dope"
+	"dope/internal/mechanism"
 	"dope/internal/platform"
 	"dope/internal/queue"
 )
@@ -324,6 +327,66 @@ func TestSetGoalSwitchesMechanismAtRuntime(t *testing.T) {
 	}
 	if consumed.Load() != 200 {
 		t.Fatalf("consumed %d of 200 across the goal switch", consumed.Load())
+	}
+}
+
+// TestMechanismCatalog pins the catalog to the constructions the retired
+// standalone replay command's own switch made, at its default budgets, so
+// replays of old logs decide exactly as before. The catalog also offers
+// gradient, and the admin endpoint lists exactly its names plus "static".
+func TestMechanismCatalog(t *testing.T) {
+	want := map[string]dope.Mechanism{
+		"proportional": &mechanism.Proportional{Threads: 24},
+		"wqth":         &mechanism.WQTH{Threads: 24, Mmax: 8, Threshold: 6},
+		"wqlinear":     &mechanism.WQLinear{Threads: 24, Mmax: 8, Mmin: 1, Qmax: 14},
+		"tb":           &mechanism.TBF{Threads: 24, DisableFusion: true},
+		"tbf":          &mechanism.TBF{Threads: 24},
+		"fdp":          &mechanism.FDP{Threads: 24},
+		"seda":         &mechanism.SEDA{HighWater: 8, LowWater: 1},
+		"tpc":          &mechanism.TPC{Threads: 24, Budget: 720},
+		"edp":          &mechanism.EDP{Threads: 24},
+		"loadprop":     &mechanism.LoadProportional{Threads: 24},
+	}
+	catalog := dope.MechanismCatalog(24, 720)
+	for name, w := range want {
+		mk := catalog[name]
+		if mk == nil {
+			t.Errorf("catalog lacks %q", name)
+			continue
+		}
+		if got := mk(); !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: catalog builds %#v, want %#v", name, got, w)
+		}
+	}
+	if mk := catalog["gradient"]; mk == nil || !reflect.DeepEqual(mk(), &mechanism.Gradient{Threads: 24}) {
+		t.Error("catalog lacks gradient")
+	}
+
+	work := queue.New[int](0)
+	d, err := dope.Create(counterSpec(work, new(atomic.Int64)), dope.MaxThroughput(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Destroy()
+	defer work.Close()
+	srv := httptest.NewServer(d.AdminHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/mechanism")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Available []string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"static"}
+	for name := range catalog {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !reflect.DeepEqual(body.Available, names) {
+		t.Fatalf("GET /mechanism available = %v, want %v", body.Available, names)
 	}
 }
 

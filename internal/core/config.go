@@ -13,12 +13,12 @@ import (
 // "parallelism configuration" <DoP_outer, DoP_inner>.
 type Config struct {
 	// Alt is the index of the chosen alternative.
-	Alt int
+	Alt int `json:"alt"`
 	// Extents is the DoP extent per stage of the chosen alternative,
 	// index-aligned with AltSpec.Stages.
-	Extents []int
+	Extents []int `json:"extents"`
 	// Children maps nested nest names to their configurations.
-	Children map[string]*Config
+	Children map[string]*Config `json:"children,omitempty"`
 }
 
 // DefaultConfig returns the configuration the executive starts from when no

@@ -5,52 +5,30 @@ import (
 	"fmt"
 )
 
-// configJSON is the serialized shape of a Config. Configs cross process
-// boundaries in two places: operators pin configurations from the command
-// line, and the replay tooling stores them in monitoring logs.
-type configJSON struct {
-	Alt      int                    `json:"alt"`
-	Extents  []int                  `json:"extents"`
-	Children map[string]*configJSON `json:"children,omitempty"`
+// Configs and reports cross process boundaries as JSON: operators pin
+// configurations from the command line and the admin endpoint, /report
+// serves the observation tree, and the replay tooling stores both in
+// monitoring logs. The types carry their own json tags, so the wire format
+// is the Go types themselves; only TaskType needs a custom encoding.
+
+// MarshalJSON encodes the task type as the wire format's "par" flag.
+func (t TaskType) MarshalJSON() ([]byte, error) {
+	return json.Marshal(t == PAR)
 }
 
-func toJSON(c *Config) *configJSON {
-	if c == nil {
-		return nil
+// UnmarshalJSON decodes a "par" flag. Anything but a JSON bool (or null,
+// which leaves the type unchanged) is an error: a silently defaulted SEQ
+// would hide a corrupt or foreign log.
+func (t *TaskType) UnmarshalJSON(data []byte) error {
+	switch string(data) {
+	case "true":
+		*t = PAR
+	case "false":
+		*t = SEQ
+	case "null":
+	default:
+		return fmt.Errorf("core: task type: want a JSON bool, got %.32s", data)
 	}
-	out := &configJSON{Alt: c.Alt, Extents: append([]int(nil), c.Extents...)}
-	for k, v := range c.Children {
-		if out.Children == nil {
-			out.Children = map[string]*configJSON{}
-		}
-		out.Children[k] = toJSON(v)
-	}
-	return out
-}
-
-func fromJSON(j *configJSON) *Config {
-	if j == nil {
-		return nil
-	}
-	out := &Config{Alt: j.Alt, Extents: append([]int(nil), j.Extents...)}
-	for k, v := range j.Children {
-		out.SetChild(k, fromJSON(v))
-	}
-	return out
-}
-
-// MarshalJSON implements json.Marshaler.
-func (c *Config) MarshalJSON() ([]byte, error) {
-	return json.Marshal(toJSON(c))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *Config) UnmarshalJSON(data []byte) error {
-	var j configJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return fmt.Errorf("core: config: %w", err)
-	}
-	*c = *fromJSON(&j)
 	return nil
 }
 
@@ -63,7 +41,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 func ParseConfig(data []byte) (*Config, error) {
 	var c Config
 	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: config: %w", err)
 	}
 	return &c, nil
 }

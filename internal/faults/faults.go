@@ -193,17 +193,17 @@ func (in *Injector) wrapFn(stage string, fn core.Functor) core.Functor {
 	}
 }
 
-// Wrap returns a copy of fns whose functor is instrumented with fault
+// wrap returns a copy of fns whose functor is instrumented with fault
 // injection for the named stage. Load/Init/Fini pass through untouched.
-func (in *Injector) Wrap(stage string, fns core.StageFns) core.StageFns {
+func (in *Injector) wrap(stage string, fns core.StageFns) core.StageFns {
 	fns.Fn = in.wrapFn(stage, fns.Fn)
 	return fns
 }
 
-// WrapAlt rewrites alt's Make so every instantiated stage functor is
+// wrapAlt rewrites alt's Make so every instantiated stage functor is
 // instrumented. only, when non-empty, restricts injection to the named
 // stages; others pass through unwrapped.
-func (in *Injector) WrapAlt(alt *core.AltSpec, only ...string) {
+func (in *Injector) wrapAlt(alt *core.AltSpec, only ...string) {
 	allow := make(map[string]bool, len(only))
 	for _, s := range only {
 		allow[s] = true
@@ -223,7 +223,7 @@ func (in *Injector) WrapAlt(alt *core.AltSpec, only ...string) {
 			if len(allow) > 0 && !allow[name] {
 				continue
 			}
-			inst.Stages[i] = in.Wrap(name, inst.Stages[i])
+			inst.Stages[i] = in.wrap(name, inst.Stages[i])
 		}
 		return inst, nil
 	}
@@ -242,7 +242,7 @@ func (in *Injector) wrapNest(spec *core.NestSpec, only []string, seen map[*core.
 	}
 	seen[spec] = true
 	for _, alt := range spec.Alts {
-		in.WrapAlt(alt, only...)
+		in.wrapAlt(alt, only...)
 		for i := range alt.Stages {
 			if alt.Stages[i].Nest != nil {
 				in.wrapNest(alt.Stages[i].Nest, only, seen)

@@ -83,7 +83,7 @@ func TestRateClamped(t *testing.T) {
 
 func TestWrapPanicsWithFaultValue(t *testing.T) {
 	in := New(1, 1) // every call faults
-	fns := in.Wrap("s", core.StageFns{Fn: func(w *core.Worker) core.Status {
+	fns := in.wrap("s", core.StageFns{Fn: func(w *core.Worker) core.Status {
 		t.Error("functor body ran despite injection")
 		return core.Finished
 	}})
@@ -106,7 +106,7 @@ func TestWrapPanicsWithFaultValue(t *testing.T) {
 func TestDelayKindStallsInsteadOfPanicking(t *testing.T) {
 	in := New(1, 1, WithKind(Delay), WithDelay(10*time.Millisecond))
 	ran := false
-	fns := in.Wrap("s", core.StageFns{Fn: func(w *core.Worker) core.Status {
+	fns := in.wrap("s", core.StageFns{Fn: func(w *core.Worker) core.Status {
 		ran = true
 		return core.Finished
 	}})
@@ -209,7 +209,7 @@ func TestWrapAltOnlyFilters(t *testing.T) {
 		},
 	}
 	in := New(1, 1)
-	in.WrapAlt(alt, "victim")
+	in.wrapAlt(alt, "victim")
 	inst, err := alt.Make(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,14 +245,18 @@ func (c *Collector) ObserveReport(r *core.Report) {
 		}
 	}
 	c.walkNestLocked(t, r.Root)
-	if fp := configFingerprint(r.Config); fp != c.lastCfg {
+	cfg := "" // no config: also the "no previous config" sentinel
+	if r.Config != nil {
+		cfg = r.Config.String()
+	}
+	if cfg != c.lastCfg {
 		if c.lastCfg != "" && !c.live.Load() {
 			c.pushEventLocked(DecisionEntry{
 				T: t, Kind: core.EventReconfigure.String(),
-				Detail: fp,
+				Detail: cfg,
 			})
 		}
-		c.lastCfg = fp
+		c.lastCfg = cfg
 	}
 }
 
@@ -285,31 +288,6 @@ func (c *Collector) walkNestLocked(t float64, n *core.NestReport) {
 			c.walkNestLocked(t, n.Children[k])
 		}
 	}
-}
-
-// configFingerprint renders a config tree to a short stable string, the
-// cheap equality check behind synthesized reconfigure entries.
-func configFingerprint(cfg *core.Config) string {
-	if cfg == nil {
-		return ""
-	}
-	var b strings.Builder
-	var walk func(prefix string, c *core.Config)
-	walk = func(prefix string, c *core.Config) {
-		fmt.Fprintf(&b, "%salt=%d extents=%v;", prefix, c.Alt, c.Extents)
-		if len(c.Children) > 0 {
-			keys := make([]string, 0, len(c.Children))
-			for k := range c.Children {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				walk(k+":", c.Children[k])
-			}
-		}
-	}
-	walk("", cfg)
-	return b.String()
 }
 
 // ObserveTenants ingests one arbiter sweep: the latest per-tenant state

@@ -143,43 +143,3 @@ func (m *ThroughputMeter) Recent() float64 {
 	defer m.mu.Unlock()
 	return m.recent.Value()
 }
-
-// Series is an append-only time series of (t, value) points used by the
-// harness to emit the paper's time-trace figures (13 and 14). Safe for
-// concurrent appends.
-type Series struct {
-	mu sync.Mutex
-	ts []time.Duration
-	vs []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(t time.Duration, v float64) {
-	s.mu.Lock()
-	s.ts = append(s.ts, t)
-	s.vs = append(s.vs, v)
-	s.mu.Unlock()
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ts)
-}
-
-// At returns the i-th point.
-func (s *Series) At(i int) (time.Duration, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ts[i], s.vs[i]
-}
-
-// Values returns a copy of the value column.
-func (s *Series) Values() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.vs))
-	copy(out, s.vs)
-	return out
-}

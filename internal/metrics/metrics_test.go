@@ -107,45 +107,3 @@ func TestThroughputMeterEmpty(t *testing.T) {
 		t.Fatal("empty meter should report zeros")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Len() != 0 {
-		t.Fatal("fresh series non-empty")
-	}
-	s.Append(time.Second, 5)
-	s.Append(2*time.Second, 7)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	ts, v := s.At(1)
-	if ts != 2*time.Second || v != 7 {
-		t.Fatalf("At(1) = %v, %v", ts, v)
-	}
-	vals := s.Values()
-	if len(vals) != 2 || vals[0] != 5 {
-		t.Fatalf("values = %v", vals)
-	}
-	vals[0] = 999 // must not alias internal storage
-	if _, v := s.At(0); v != 5 {
-		t.Fatal("Values aliases internal storage")
-	}
-}
-
-func TestSeriesConcurrentAppend(t *testing.T) {
-	var s Series
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 250; j++ {
-				s.Append(time.Duration(j), float64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Len() != 1000 {
-		t.Fatalf("len = %d", s.Len())
-	}
-}

@@ -39,63 +39,16 @@ type AltRecord struct {
 
 // StageRecord is the serializable structure of one stage.
 type StageRecord struct {
-	Name   string      `json:"name"`
-	Par    bool        `json:"par"`
-	MinDoP int         `json:"minDoP,omitempty"`
-	MaxDoP int         `json:"maxDoP,omitempty"`
-	Nest   *SpecRecord `json:"nest,omitempty"`
+	Name   string        `json:"name"`
+	Type   core.TaskType `json:"par"`
+	MinDoP int           `json:"minDoP,omitempty"`
+	MaxDoP int           `json:"maxDoP,omitempty"`
+	Nest   *SpecRecord   `json:"nest,omitempty"`
 }
 
-// StageObs is one stage's observation row.
-type StageObs struct {
-	Name          string  `json:"name"`
-	Par           bool    `json:"par"`
-	MinDoP        int     `json:"minDoP,omitempty"`
-	MaxDoP        int     `json:"maxDoP,omitempty"`
-	HasNest       bool    `json:"hasNest,omitempty"`
-	Extent        int     `json:"extent"`
-	ExecTime      float64 `json:"execTime"`
-	MeanExecTime  float64 `json:"meanExecTime"`
-	Rate          float64 `json:"rate"`
-	Load          float64 `json:"load"`
-	LoadInstances int     `json:"loadInstances"`
-	Iterations    uint64  `json:"iterations"`
-	Completed     uint64  `json:"completed"`
-	Workers       int     `json:"workers,omitempty"`
-	Sojourn       float64 `json:"sojourn,omitempty"`
-	Observed      bool    `json:"observed,omitempty"`
-	// Robustness counters. A post-mortem replay is only trustworthy if the
-	// failure story survives the round trip: slot churn, absorbed panics,
-	// watchdog stalls, zombie slots, and shed queue items all record here.
-	Spawned           uint64 `json:"spawned,omitempty"`
-	Retired           uint64 `json:"retired,omitempty"`
-	Resizes           uint64 `json:"resizes,omitempty"`
-	Failures          uint64 `json:"failures,omitempty"`
-	ConsecFailures    int    `json:"consecFailures,omitempty"`
-	Stalls            uint64 `json:"stalls,omitempty"`
-	StallsDuringDrain uint64 `json:"stallsDuringDrain,omitempty"`
-	Zombies           int    `json:"zombies,omitempty"`
-	Shed              uint64 `json:"shed,omitempty"`
-}
-
-// NestObs is one nest's observation subtree.
-type NestObs struct {
-	Name     string              `json:"name"`
-	Path     string              `json:"path"`
-	AltIndex int                 `json:"altIndex"`
-	AltName  string              `json:"altName"`
-	Stages   []StageObs          `json:"stages"`
-	Children map[string]*NestObs `json:"children,omitempty"`
-}
-
-// ConfigRecord mirrors core.Config.
-type ConfigRecord struct {
-	Alt      int                      `json:"alt"`
-	Extents  []int                    `json:"extents"`
-	Children map[string]*ConfigRecord `json:"children,omitempty"`
-}
-
-// Entry is one recorded control-tick snapshot.
+// Entry is one recorded control-tick snapshot. Its fields are core.Report's
+// own, under their JSON tags; only the spec and the features need a
+// serializable stand-in.
 type Entry struct {
 	// TimeSec is the executive uptime at the snapshot, in seconds.
 	TimeSec float64 `json:"t"`
@@ -115,9 +68,9 @@ type Entry struct {
 	// self-containedness; logs compress well).
 	Spec *SpecRecord `json:"spec"`
 	// Config is the active configuration.
-	Config *ConfigRecord `json:"config"`
+	Config *core.Config `json:"config"`
 	// Root is the observation tree.
-	Root *NestObs `json:"root"`
+	Root *core.NestReport `json:"root"`
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -132,7 +85,7 @@ func encodeSpec(s *core.NestSpec) *SpecRecord {
 		for i := range alt.Stages {
 			st := &alt.Stages[i]
 			ar.Stages = append(ar.Stages, StageRecord{
-				Name: st.Name, Par: st.Type == core.PAR,
+				Name: st.Name, Type: st.Type,
 				MinDoP: st.MinDoP, MaxDoP: st.MaxDoP,
 				Nest: encodeSpec(st.Nest),
 			})
@@ -142,52 +95,9 @@ func encodeSpec(s *core.NestSpec) *SpecRecord {
 	return out
 }
 
-func encodeConfig(c *core.Config) *ConfigRecord {
-	if c == nil {
-		return nil
-	}
-	out := &ConfigRecord{Alt: c.Alt, Extents: append([]int(nil), c.Extents...)}
-	for k, v := range c.Children {
-		if out.Children == nil {
-			out.Children = map[string]*ConfigRecord{}
-		}
-		out.Children[k] = encodeConfig(v)
-	}
-	return out
-}
-
-func encodeNest(n *core.NestReport) *NestObs {
-	if n == nil {
-		return nil
-	}
-	out := &NestObs{
-		Name: n.Name, Path: n.Path, AltIndex: n.AltIndex, AltName: n.AltName,
-	}
-	for _, st := range n.Stages {
-		out.Stages = append(out.Stages, StageObs{
-			Name: st.Name, Par: st.Type == core.PAR,
-			MinDoP: st.MinDoP, MaxDoP: st.MaxDoP, HasNest: st.HasNest,
-			Extent: st.Extent, ExecTime: st.ExecTime, MeanExecTime: st.MeanExecTime,
-			Rate: st.Rate, Load: st.Load, LoadInstances: st.LoadInstances,
-			Iterations: st.Iterations, Completed: st.Completed,
-			Workers: st.Workers, Sojourn: st.QueueSojourn, Observed: st.Observed,
-			Spawned: st.Spawned, Retired: st.Retired, Resizes: st.Resizes,
-			Failures: st.Failures, ConsecFailures: st.ConsecutiveFailures,
-			Stalls: st.Stalls, StallsDuringDrain: st.StallsDuringDrain,
-			Zombies: st.Zombies, Shed: st.Shed,
-		})
-	}
-	for k, v := range n.Children {
-		if out.Children == nil {
-			out.Children = map[string]*NestObs{}
-		}
-		out.Children[k] = encodeNest(v)
-	}
-	return out
-}
-
 // Encode converts a live report into a serializable entry. Feature values
-// are sampled now, through the registered callbacks.
+// are sampled now, through the registered callbacks. The entry shares the
+// report's observation tree and configuration.
 func Encode(r *core.Report) *Entry {
 	e := &Entry{
 		TimeSec:         r.Time.Seconds(),
@@ -196,9 +106,11 @@ func Encode(r *core.Report) *Entry {
 		BusyContexts:    r.BusyContexts,
 		BlockedAcquires: r.BlockedAcquires,
 		Rejected:        r.Rejected,
-		Spec:            encodeSpec(rootSpec(r)),
-		Config:          encodeConfig(r.Config),
-		Root:            encodeNest(r.Root),
+		Config:          r.Config,
+		Root:            r.Root,
+	}
+	if r.Root != nil {
+		e.Spec = encodeSpec(r.Root.Spec)
 	}
 	if r.Features != nil {
 		for _, name := range r.Features.Names() {
@@ -211,13 +123,6 @@ func Encode(r *core.Report) *Entry {
 		}
 	}
 	return e
-}
-
-func rootSpec(r *core.Report) *core.NestSpec {
-	if r.Root == nil {
-		return nil
-	}
-	return r.Root.Spec
 }
 
 // --- decoding ---------------------------------------------------------------
@@ -233,12 +138,8 @@ func decodeSpec(s *SpecRecord) *core.NestSpec {
 	for _, ar := range s.Alts {
 		alt := &core.AltSpec{Name: ar.Name, Make: noopMake}
 		for _, sr := range ar.Stages {
-			t := core.SEQ
-			if sr.Par {
-				t = core.PAR
-			}
 			alt.Stages = append(alt.Stages, core.StageSpec{
-				Name: sr.Name, Type: t, MinDoP: sr.MinDoP, MaxDoP: sr.MaxDoP,
+				Name: sr.Name, Type: sr.Type, MinDoP: sr.MinDoP, MaxDoP: sr.MaxDoP,
 				Nest: decodeSpec(sr.Nest),
 			})
 		}
@@ -247,54 +148,20 @@ func decodeSpec(s *SpecRecord) *core.NestSpec {
 	return out
 }
 
-func decodeConfig(c *ConfigRecord) *core.Config {
-	if c == nil {
-		return nil
-	}
-	out := &core.Config{Alt: c.Alt, Extents: append([]int(nil), c.Extents...)}
-	for k, v := range c.Children {
-		out.SetChild(k, decodeConfig(v))
-	}
-	return out
-}
-
-func decodeNest(n *NestObs, spec *core.NestSpec) *core.NestReport {
+// attachSpecs points each nest of a decoded observation tree at its
+// structural spec, which the wire format carries separately.
+func attachSpecs(n *core.NestReport, spec *core.NestSpec) {
 	if n == nil {
-		return nil
+		return
 	}
-	out := &core.NestReport{
-		Name: n.Name, Path: n.Path, Spec: spec,
-		AltIndex: n.AltIndex, AltName: n.AltName,
-	}
-	for _, st := range n.Stages {
-		t := core.SEQ
-		if st.Par {
-			t = core.PAR
-		}
-		out.Stages = append(out.Stages, core.StageReport{
-			Name: st.Name, Type: t, MinDoP: st.MinDoP, MaxDoP: st.MaxDoP,
-			HasNest: st.HasNest, Extent: st.Extent,
-			ExecTime: st.ExecTime, MeanExecTime: st.MeanExecTime,
-			Rate: st.Rate, Load: st.Load, LoadInstances: st.LoadInstances,
-			Iterations: st.Iterations, Completed: st.Completed,
-			Workers: st.Workers, QueueSojourn: st.Sojourn, Observed: st.Observed,
-			Spawned: st.Spawned, Retired: st.Retired, Resizes: st.Resizes,
-			Failures: st.Failures, ConsecutiveFailures: st.ConsecFailures,
-			Stalls: st.Stalls, StallsDuringDrain: st.StallsDuringDrain,
-			Zombies: st.Zombies, Shed: st.Shed,
-		})
-	}
-	for k, v := range n.Children {
-		if out.Children == nil {
-			out.Children = map[string]*core.NestReport{}
-		}
+	n.Spec = spec
+	for k, child := range n.Children {
 		var childSpec *core.NestSpec
 		if spec != nil {
 			childSpec = findChild(spec, k)
 		}
-		out.Children[k] = decodeNest(v, childSpec)
+		attachSpecs(child, childSpec)
 	}
-	return out
 }
 
 func findChild(spec *core.NestSpec, name string) *core.NestSpec {
@@ -310,9 +177,11 @@ func findChild(spec *core.NestSpec, name string) *core.NestSpec {
 
 // Decode reconstructs a core.Report a mechanism can consume. The spec tree
 // is structural only (placeholder factories); Features answers exactly the
-// recorded values.
+// recorded values. The report shares the entry's observation tree, whose
+// nests Decode points at the freshly decoded spec; its config is a private
+// clone, because mechanisms own and mutate Report.Config.
 func Decode(e *Entry) *core.Report {
-	spec := decodeSpec(e.Spec)
+	attachSpecs(e.Root, decodeSpec(e.Spec))
 	features := platform.NewFeatures()
 	for name, v := range e.Features {
 		v := v
@@ -326,8 +195,8 @@ func Decode(e *Entry) *core.Report {
 		BlockedAcquires: e.BlockedAcquires,
 		Rejected:        e.Rejected,
 		Features:        features,
-		Config:          decodeConfig(e.Config),
-		Root:            decodeNest(e.Root, spec),
+		Config:          e.Config.Clone(),
+		Root:            e.Root,
 	}
 }
 

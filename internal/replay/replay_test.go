@@ -208,7 +208,7 @@ func TestRecordWhileRunning(t *testing.T) {
 func TestDecodeUnknownQueueSafe(t *testing.T) {
 	// A log from a newer producer may omit fields; decoding must not panic.
 	e := &Entry{Spec: &SpecRecord{Name: "x", Alts: []AltRecord{{Name: "a",
-		Stages: []StageRecord{{Name: "s", Par: true}}}}}}
+		Stages: []StageRecord{{Name: "s", Type: core.PAR}}}}}}
 	rep := Decode(e)
 	if rep.Root != nil {
 		t.Fatal("nil root should stay nil")
@@ -216,11 +216,11 @@ func TestDecodeUnknownQueueSafe(t *testing.T) {
 }
 
 // TestRobustnessCountersRoundTrip pins the full counter set through
-// Encode -> JSONL -> ReadLog -> Decode. Before this test existed, the
-// StageObs row silently dropped Stalls, Zombies, Shed, Failures and the
-// slot-churn counters, so replayed incidents looked like clean runs. Every
-// field is nonzero so an accidentally dropped json tag cannot hide behind a
-// zero value.
+// Encode -> JSONL -> ReadLog -> Decode. Before this test existed, replay's
+// hand-kept copy of the stage row silently dropped Stalls, Zombies, Shed,
+// Failures and the slot-churn counters, so replayed incidents looked like
+// clean runs. Every field is nonzero so an accidentally dropped json tag
+// cannot hide behind a zero value.
 func TestRobustnessCountersRoundTrip(t *testing.T) {
 	rep := &core.Report{
 		Tenant:          "video",

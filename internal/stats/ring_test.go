@@ -128,43 +128,6 @@ func TestPointRingConcurrentObserveSnapshot(t *testing.T) {
 	readers.Wait()
 }
 
-func TestWindowWraparound(t *testing.T) {
-	w := NewWindow(3)
-	for i := 1; i <= 7; i++ {
-		w.Observe(float64(i))
-	}
-	if !w.Full() || w.Len() != 3 {
-		t.Fatalf("Len = %d, Full = %v; want 3, true", w.Len(), w.Full())
-	}
-	if w.Sum() != 5+6+7 {
-		t.Errorf("Sum = %g, want 18", w.Sum())
-	}
-	if w.Mean() != 6 {
-		t.Errorf("Mean = %g, want 6", w.Mean())
-	}
-	for i := 0; i < 3; i++ {
-		if got, want := w.At(i), float64(5+i); got != want {
-			t.Errorf("At(%d) = %g, want %g", i, got, want)
-		}
-	}
-	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 {
-		t.Errorf("after Reset: Len %d Sum %g", w.Len(), w.Sum())
-	}
-	// Running sum stays exact through many evictions.
-	w2 := NewWindow(5)
-	for i := 0; i < 1000; i++ {
-		w2.Observe(float64(i % 13))
-	}
-	var want float64
-	for i := 0; i < w2.Len(); i++ {
-		want += w2.At(i)
-	}
-	if diff := w2.Sum() - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("running sum drifted: Sum %g vs recomputed %g", w2.Sum(), want)
-	}
-}
-
 func TestHistogramQuantilesUnderDecay(t *testing.T) {
 	h := NewHistogram(0, 100, 100)
 	// Old regime: everything near 90.

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the DoPE
 // runtime and its experiment harness: exponentially weighted moving
-// averages, online mean/variance (Welford), simple moving windows,
-// percentiles, histograms, and a least-squares line fit.
+// averages, online mean/variance (Welford), percentiles, histograms, and
+// ring-buffered time series.
 //
 // Everything here is deliberately allocation-light: mechanisms consult these
 // estimators on the hot reconfiguration path, and the paper reports total
@@ -27,20 +27,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values make the result NaN, matching the mathematical domain.
-// It returns 0 for empty input.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Min returns the smallest element of xs. It returns an error for empty input.
@@ -95,33 +81,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// LinearFit fits y = a + b*x by ordinary least squares and returns the
-// intercept a and slope b. It requires at least two points with distinct x
-// values.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: mismatched lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	mx := Mean(xs)
-	my := Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
 }

@@ -27,27 +27,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	if got := GeoMean([]float64{2, 2, 2}); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean(2,2,2) = %v, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", got)
-	}
-}
-
-func TestGeoMeanMatchesPaperStyleSpeedups(t *testing.T) {
-	// The paper reports a 136% geomean improvement for two apps; check the
-	// arithmetic we use to reproduce that claim: geomean(2.36x, 2.36x)=2.36.
-	g := GeoMean([]float64{2.36, 2.36})
-	if !almostEqual(g, 2.36, 1e-9) {
-		t.Fatalf("geomean = %v", g)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if _, err := Min(nil); err == nil {
 		t.Error("Min(nil) should error")
@@ -110,38 +89,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	m, err := Median([]float64{9, 1, 5})
-	if err != nil || m != 5 {
-		t.Errorf("Median = %v, %v", m, err)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	// y = 2 + 3x exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{2, 5, 8, 11}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 2, 1e-9) || !almostEqual(b, 3, 1e-9) {
-		t.Errorf("fit = (%v, %v), want (2, 3)", a, b)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point should error")
-	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Error("degenerate x should error")
 	}
 }
 
