@@ -33,9 +33,10 @@ examples:
 stalls:
 	$(GO) run ./cmd/dope-bench -exp stalls
 
-# Begin/End hot-path microbenchmarks with the allocation gate CI runs on
-# every push. Add OUT=BENCH_beginend.json to append a labeled entry to
-# the checked-in trajectory file when recording a milestone.
+# Begin/End hot-path and queue-hop microbenchmarks with the allocation
+# gate CI runs on every push. Add OUT=BENCH_beginend.json to append a
+# labeled entry to the checked-in trajectory file when recording a
+# milestone.
 BENCH_LABEL ?= dev
 OUT ?=
 bench:

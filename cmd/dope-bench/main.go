@@ -17,7 +17,7 @@
 // The -bench mode runs the executive's own overhead microbenchmarks
 // (internal/microbench) and appends a labeled entry to a BENCH_*.json
 // trajectory file; -gate additionally fails the process when the
-// uncontended Begin/End path allocates.
+// uncontended Begin/End path or the queue hop allocates.
 package main
 
 import (
@@ -100,7 +100,7 @@ func runBench(suite, outFile, label string, gate bool) {
 			fmt.Fprintln(os.Stderr, "dope-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Println("gate: ok (uncontended Begin/End is allocation-free)")
+		fmt.Println("gate: ok (uncontended Begin/End and the queue hop are allocation-free)")
 	}
 }
 

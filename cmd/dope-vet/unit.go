@@ -14,6 +14,7 @@ import (
 	"regexp"
 
 	"dope/internal/analysis/framework"
+	"dope/internal/analysis/load"
 )
 
 // vetConfig is the JSON configuration the go command writes for each
@@ -77,15 +78,7 @@ func runUnit(cfgFile string) {
 		return os.Open(file)
 	})
 
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
+	info := load.NewInfo()
 	tc := &types.Config{
 		Importer:  compilerImporter,
 		GoVersion: languageVersion(cfg.GoVersion),

@@ -49,7 +49,6 @@ import (
 	"dope/internal/mechanism"
 	"dope/internal/metrics"
 	"dope/internal/monitor"
-	"dope/internal/platform"
 	"dope/internal/power"
 )
 
@@ -474,12 +473,7 @@ func (d *DoPE) AdminHandlerWithCollector(col *metrics.Collector) http.Handler {
 // DefaultPDUSamplePeriod for the paper's 13 samples/minute, or 0 for
 // unlimited). It returns the model so callers can translate budgets.
 func (d *DoPE) RegisterPowerModel(samplePeriod time.Duration) *power.Model {
-	model := power.NewDefaultModel(d.Contexts().N())
-	pdu := power.NewPDU(func() float64 {
-		return model.Watts(d.Contexts().Busy())
-	}, samplePeriod, d.Clock())
-	d.Features().Register(platform.FeatureSystemPower, pdu.FeatureCB())
-	return model
+	return power.Register(d.Features(), d.Contexts(), samplePeriod, d.Clock())
 }
 
 // DefaultPDUSamplePeriod is the paper's AP7892 PDU limit: 13 samples/min.

@@ -8,7 +8,8 @@
 //	GET  /report     the current monitoring snapshot (replay.Entry shape)
 //	GET  /config     the active parallelism configuration
 //	PUT  /config     install a configuration (normalized; extent changes
-//	                 resize stages in place, alternative switches suspend)
+//	                 resize stages in place, alternative switches suspend;
+//	                 400 if any extent exceeds the context budget)
 //	GET  /mechanism  {"name": "..."} of the active mechanism, or null
 //	PUT  /mechanism  {"name": "tbf"} switch mechanisms by registered name;
 //	                 {"name": "static"} freezes the current configuration
@@ -166,6 +167,9 @@ func (h *adminState) config(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cfg, err := core.ParseConfig(body)
+		if err == nil {
+			err = checkExtents(cfg, h.exec.Contexts().N())
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -175,6 +179,26 @@ func (h *adminState) config(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// checkExtents rejects a configuration asking any stage, at any depth, for
+// more workers than the executive has contexts: Normalize bounds a stage
+// only by its MaxDoP, so one PUT could otherwise spawn unbounded goroutines.
+func checkExtents(cfg *core.Config, limit int) error {
+	if cfg == nil {
+		return nil
+	}
+	for _, e := range cfg.Extents {
+		if e > limit {
+			return fmt.Errorf("extent %d exceeds the %d-context budget", e, limit)
+		}
+	}
+	for name, child := range cfg.Children {
+		if err := checkExtents(child, limit); err != nil {
+			return fmt.Errorf("child %q: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // mechanismBody is the PUT /mechanism payload.

@@ -171,6 +171,34 @@ func TestConfigEndpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestConfigEndpointRejectsOversizedExtents is the regression test for an
+// unbounded PUT: one extent of 200000 used to spawn that many goroutines.
+// An extent above the context budget is refused at the root and in any
+// child config, and the live configuration stays as it was; an extent of
+// exactly the budget is still accepted.
+func TestConfigEndpointRejectsOversizedExtents(t *testing.T) {
+	e, work, _ := testExec(t)
+	defer func() { work.Close(); e.Wait() }()
+	srv := adminServer(t, e)
+	before := e.CurrentConfig()
+	for _, body := range []string{
+		`{"alt":0,"extents":[1,200000]}`,
+		`{"alt":0,"extents":[1,9]}`,
+		`{"alt":0,"extents":[1,2],"children":{"inner":{"alt":0,"extents":[9]}}}`,
+		`{"alt":0,"extents":[1,2],"children":{"a":{"children":{"b":{"extents":[1,100000]}}}}}`,
+	} {
+		if resp := putJSON(t, srv.URL+"/config", body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT /config %s: %d, want 400", body, resp.StatusCode)
+		}
+		if got := e.CurrentConfig(); !got.Equal(before) {
+			t.Fatalf("rejected PUT %s changed the config to %v", body, got)
+		}
+	}
+	if resp := putJSON(t, srv.URL+"/config", `{"alt":0,"extents":[1,8]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT /config at the context budget: %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestMechanismEndpoint(t *testing.T) {
 	e, work, _ := testExec(t)
 	defer func() { work.Close(); e.Wait() }()

@@ -225,10 +225,9 @@ func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// check type-checks files as import path and returns the package with its
-// type info.
-func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := &types.Info{
+// NewInfo returns a types.Info with every map the analyzers read.
+func NewInfo() *types.Info {
+	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -237,6 +236,12 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
+}
+
+// check type-checks files as import path and returns the package with its
+// type info.
+func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := NewInfo()
 	var firstErr error
 	conf := &types.Config{
 		Importer: l,

@@ -370,6 +370,9 @@ func analyze(pass *framework.Pass, lit *ast.FuncLit, decls map[*types.Func]*ast.
 		}
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		for _, lhs := range assignedTo(n) {
+			write(lhs)
+		}
 		switch n := n.(type) {
 		case *ast.Ident:
 			obj := info.Uses[n]
@@ -391,26 +394,9 @@ func analyze(pass *framework.Pass, lit *ast.FuncLit, decls map[*types.Func]*ast.
 				}
 				capture(access{v: v, field: fieldOf[n]}, n.Pos())
 			}
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				write(lhs)
-			}
-		case *ast.IncDecStmt:
-			write(n.X)
 		case *ast.RangeStmt:
 			if isChan(typeOf(info, n.X)) {
 				fn.recvs[rootVar(info, n.X)] = true
-			}
-			if n.Tok == token.ASSIGN {
-				if n.Key != nil {
-					write(n.Key)
-				}
-				if n.Value != nil {
-					write(n.Value)
-				}
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
@@ -528,6 +514,9 @@ func analyzeMethod(pass *framework.Pass, site *ast.SelectorExpr, decls map[*type
 		}
 	}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		for _, lhs := range assignedTo(n) {
+			write(lhs)
+		}
 		switch n := n.(type) {
 		case *ast.Ident:
 			if v, ok := info.Uses[n].(*types.Var); ok && v == recvVar {
@@ -550,24 +539,6 @@ func analyzeMethod(pass *framework.Pass, site *ast.SelectorExpr, decls map[*type
 					if _, seen := fn.caps[a]; !seen {
 						fn.caps[a] = n.Pos()
 					}
-				}
-			}
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				write(lhs)
-			}
-		case *ast.IncDecStmt:
-			write(n.X)
-		case *ast.RangeStmt:
-			if n.Tok == token.ASSIGN {
-				if n.Key != nil {
-					write(n.Key)
-				}
-				if n.Value != nil {
-					write(n.Value)
 				}
 			}
 		}
@@ -641,6 +612,9 @@ func methodEffects(pass *framework.Pass, m *types.Func, decls map[*types.Func]*a
 		}
 	}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		for _, lhs := range assignedTo(n) {
+			write(lhs)
+		}
 		switch n := n.(type) {
 		case *ast.Ident:
 			if v, _ := info.Uses[n].(*types.Var); v == recvVar && v != nil {
@@ -661,28 +635,35 @@ func methodEffects(pass *framework.Pass, m *types.Func, decls map[*types.Func]*a
 					eff.whole = true
 				}
 			}
-		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				write(lhs)
-			}
-		case *ast.IncDecStmt:
-			write(n.X)
-		case *ast.RangeStmt:
-			if n.Tok == token.ASSIGN {
-				if n.Key != nil {
-					write(n.Key)
-				}
-				if n.Value != nil {
-					write(n.Value)
-				}
-			}
 		}
 		return true
 	})
 	return eff
+}
+
+// assignedTo returns the expressions n writes: the left-hand sides of a
+// plain assignment, the operand of ++/--, and the key and value of a
+// `for k, v = range` loop. A := definition writes only fresh variables.
+func assignedTo(n ast.Node) []ast.Expr {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		if n.Tok != token.DEFINE {
+			return n.Lhs
+		}
+	case *ast.IncDecStmt:
+		return []ast.Expr{n.X}
+	case *ast.RangeStmt:
+		if n.Tok == token.ASSIGN {
+			var out []ast.Expr
+			for _, x := range []ast.Expr{n.Key, n.Value} {
+				if x != nil {
+					out = append(out, x)
+				}
+			}
+			return out
+		}
+	}
+	return nil
 }
 
 // fieldSelections maps each base identifier in body to the field directly

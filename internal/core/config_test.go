@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,5 +195,61 @@ func TestNormalizedDemandProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzParseConfig: the admin endpoint's decoder never panics, and whatever
+// it accepts normalizes against the two-level spec into a configuration the
+// executive can instantiate: one extent per stage of the chosen alternative,
+// every extent at least 1, SEQ stages at exactly 1, and a child config for
+// every nested stage.
+func FuzzParseConfig(f *testing.F) {
+	spec := transcodeSpec()
+	seed := DefaultConfig(spec)
+	wide := seed.Clone()
+	wide.Extents[0] = 4
+	wide.Child("video").Extents = []int{1, 8, 1}
+	fused := seed.Clone()
+	fused.Child("video").Alt = 1
+	for _, c := range []*Config{seed, wide, fused} {
+		data, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add([]byte(c.String()))
+	}
+	f.Add([]byte(`{"alt":-3,"extents":[-1,0,99],"children":{"video":null,"other":{"alt":7}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := ParseConfig(data)
+		if err != nil {
+			return
+		}
+		cfg.Normalize(spec)
+		checkNormalized(t, spec, cfg)
+	})
+}
+
+func checkNormalized(t *testing.T, spec *NestSpec, cfg *Config) {
+	t.Helper()
+	if cfg.Alt < 0 || cfg.Alt >= len(spec.Alts) {
+		t.Fatalf("%s: alt %d out of range", spec.Name, cfg.Alt)
+	}
+	stages := spec.Alts[cfg.Alt].Stages
+	if len(cfg.Extents) != len(stages) {
+		t.Fatalf("%s: %d extents for %d stages", spec.Name, len(cfg.Extents), len(stages))
+	}
+	for i, st := range stages {
+		e := cfg.Extents[i]
+		if e < 1 || (st.Type == SEQ && e != 1) || (st.MaxDoP > 0 && e > st.MaxDoP) {
+			t.Fatalf("%s/%s: extent %d after Normalize", spec.Name, st.Name, e)
+		}
+		if st.Nest != nil {
+			child := cfg.Child(st.Nest.Name)
+			if child == nil {
+				t.Fatalf("%s/%s: no child config after Normalize", spec.Name, st.Name)
+			}
+			checkNormalized(t, st.Nest, child)
+		}
 	}
 }

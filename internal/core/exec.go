@@ -26,18 +26,8 @@ type Exec struct {
 	contexts platform.ContextPool
 	features *platform.Features
 	clock    platform.Clock
-	// The Begin/End hot path's clock: nowNanos returns the current time as
-	// unix nanoseconds consistent with clock.Now(). For the wall clock it
-	// reads only the runtime's monotonic counter (roughly half the cost of
-	// time.Now) and rebases it onto a wall epoch captured at construction;
-	// virtual clocks go through the slowClock func instead. When the
-	// machine's TSC passed calibration (tscclock.go), tscClock selects the
-	// cheaper raw-counter read; the flag is resolved once at construction
-	// so the hot path pays one branch, not a global lookup.
-	tscClock  bool
-	fastClock bool
-	epochUnix int64 // clock.Now().UnixNano() at construction
-	epochMono int64 // runtime nanotime() at construction
+	// slowClock is the Begin/End clock for an injected (virtual) clock;
+	// nil for the wall clock, where nowNanos reads platform.NowNanos.
 	slowClock func() int64
 	mon       *monitor.Registry
 	interval  time.Duration
@@ -129,8 +119,6 @@ type run struct {
 }
 
 func (r *run) suspending() bool { return r.suspend.Load() }
-
-func (r *run) requestSuspend() { r.suspend.Store(true) }
 
 // cancelAll closes every registered top-level slot's Done channel so
 // cooperative functors observe the drain request without polling. Nested
@@ -351,11 +339,7 @@ func New(root *NestSpec, opts ...Option) (*Exec, error) {
 	e.features.Register(platform.FeatureBusyContexts,
 		func() float64 { return float64(e.contexts.Busy()) })
 	if _, ok := e.clock.(platform.WallClock); ok {
-		calibrateTSC()
-		e.tscClock = tscOK
-		e.fastClock = true
-		e.epochUnix = time.Now().UnixNano()
-		e.epochMono = nanotime()
+		platform.CalibrateClock()
 	} else {
 		clk := e.clock
 		e.slowClock = func() int64 { return clk.Now().UnixNano() }
@@ -363,17 +347,13 @@ func New(root *NestSpec, opts ...Option) (*Exec, error) {
 	return e, nil
 }
 
-// nowNanos is the Begin/End hot path's clock read; see the fastClock fields
-// and tscclock.go. Preference order: calibrated TSC, runtime monotonic
-// counter rebased onto the wall epoch, then the virtual clock's func.
+// nowNanos is the Begin/End hot path's clock read: the process-wide
+// calibrated clock, or the injected clock's func.
 func (e *Exec) nowNanos() int64 {
-	if e.tscClock {
-		return tscNow()
+	if e.slowClock != nil {
+		return e.slowClock()
 	}
-	if e.fastClock {
-		return e.epochUnix + nanotime() - e.epochMono
-	}
-	return e.slowClock()
+	return platform.NowNanos()
 }
 
 // Contexts returns the executive's hardware-context pool (the machine pool,
@@ -397,7 +377,7 @@ func (e *Exec) Uptime() time.Duration {
 	if at == 0 {
 		return 0
 	}
-	return e.clock.Since(time.Unix(0, at))
+	return e.clock.Now().Sub(time.Unix(0, at))
 }
 
 // Reconfigurations returns how many configuration changes have been applied.

@@ -133,7 +133,8 @@ func TestDetectorEnvVar(t *testing.T) {
 // directWorker builds a bare Worker on e for sequence-level tests: not part
 // of any run, so Suspending is always false.
 func directWorker(e *Exec) *Worker {
-	return &Worker{exec: e, stats: e.mon.Stage(monitor.Key{Nest: "n", Stage: "s"})}
+	stats := e.mon.Stage(monitor.Key{Nest: "n", Stage: "s"})
+	return &Worker{exec: e, stats: stats, rec: stats.NewSlotRecorder()}
 }
 
 // TestDetectorAllowsDrainSequence: Begin → work → End with no status

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dope/internal/monitor"
 )
 
 // stallSpec builds a one-stage PAR nest whose functor consults shouldStall
@@ -154,6 +156,37 @@ func TestStallRestartKeepsRunning(t *testing.T) {
 	rep := e.Report().Nest("app").Stage("worker")
 	if rep.Stalls == 0 {
 		t.Fatal("report shows no stalls")
+	}
+}
+
+// TestAbandonedSlotExitLeavesRemovalToWatchdog is the regression test for a
+// FailRestart race behind TestStallRestartKeepsRunning's flakiness: the
+// watchdog wakes an abandoned slot before it takes the group lock to remove
+// that slot and spawn its replacement. A woken zombie that reached slotExit
+// first removed itself, found the group empty and closed it, so a
+// one-worker stage finished cleanly instead of restarting. The exit of an
+// abandoned slot must leave the group to the watchdog.
+func TestAbandonedSlotExitLeavesRemovalToWatchdog(t *testing.T) {
+	s := &groupSlot{cancelCh: make(chan struct{})}
+	g := &workerGroup{
+		exec:    &Exec{},
+		stats:   monitor.NewRegistry(0.25).Stage(monitor.Key{Nest: "app", Stage: "worker"}),
+		started: true,
+		done:    make(chan struct{}),
+		slots:   []*groupSlot{s},
+	}
+	if claimed, _ := s.claimStall(); !claimed {
+		t.Fatal("claimStall lost on a fresh slot")
+	}
+	s.retireAndCancel()
+	g.slotExit(s) // the zombie wins the race to g.mu
+	select {
+	case <-g.done:
+		t.Fatal("an abandoned slot's exit closed the group before the watchdog could respawn")
+	default:
+	}
+	if len(g.slots) != 1 {
+		t.Fatalf("slots = %d, want the abandoned slot left for the watchdog to remove", len(g.slots))
 	}
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"dope/internal/monitor"
-)
+import "dope/internal/monitor"
 
 // Worker is the execution context handed to a Functor. It provides the
 // paper's Task methods: Begin/End delimit the CPU-intensive section (Table
@@ -32,9 +28,7 @@ type Worker struct {
 	// this group's slots); false for hand-built Workers, whose Begin/End
 	// never interact with the watchdog anyway.
 	windowed bool
-	// rec is this worker's private monitor accumulator (one per attempt);
-	// nil only for hand-built Workers in tests, which fall back to the
-	// stage's locked Observe methods.
+	// rec is this worker's private monitor accumulator (one per attempt).
 	rec *monitor.SlotRecorder
 
 	holding bool
@@ -114,11 +108,7 @@ func (w *Worker) Begin() Status {
 	if w.counted {
 		// Tell the monitors the stage is working again, so the idle wait
 		// that just ended is excluded from the rate's next gap.
-		if w.rec != nil {
-			w.rec.ObserveBegin(w.beginNanos)
-		} else {
-			w.stats.ObserveBegin(time.Unix(0, w.beginNanos))
-		}
+		w.rec.ObserveBegin(w.beginNanos)
 	}
 	return Executing
 }
@@ -149,13 +139,7 @@ func (w *Worker) End() Status {
 				// TSC that failed to stay invariant after calibration).
 				dur = 0
 			}
-			if w.rec != nil {
-				w.rec.ObserveEnd(dur, now)
-			} else {
-				t := time.Unix(0, now)
-				w.stats.ObserveIteration(time.Duration(dur), t)
-				w.stats.ObserveEnd(t)
-			}
+			w.rec.ObserveEnd(dur, now)
 		}
 		if release {
 			e.contexts.Release()

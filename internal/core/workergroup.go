@@ -340,6 +340,20 @@ func (g *workerGroup) attempt(s *groupSlot) (st Status, p any, stack []byte) {
 	}
 }
 
+// noteFailureLocked records a failure (panic or stall) at now and returns
+// how many fall inside the rolling failure window. Called with g.mu held.
+func (g *workerGroup) noteFailureLocked(now time.Time) int {
+	cut := now.Add(-g.window)
+	kept := g.failTimes[:0]
+	for _, ft := range g.failTimes {
+		if ft.After(cut) {
+			kept = append(kept, ft)
+		}
+	}
+	g.failTimes = append(kept, now)
+	return len(g.failTimes)
+}
+
 // failed applies the stage's failure policy to one panicked attempt and
 // reports whether the slot should respawn. Escalation rules: FailRestart
 // falls back to FailStop when the stage overruns its failure budget within
@@ -349,15 +363,7 @@ func (g *workerGroup) failed(s *groupSlot, p any, stack []byte) (respawn bool) {
 	e := g.exec
 	now := e.clock.Now()
 	g.mu.Lock()
-	cut := now.Add(-g.window)
-	kept := g.failTimes[:0]
-	for _, ft := range g.failTimes {
-		if ft.After(cut) {
-			kept = append(kept, ft)
-		}
-	}
-	g.failTimes = append(kept, now)
-	inWindow := len(g.failTimes)
+	inWindow := g.noteFailureLocked(now)
 	active := len(g.activeLocked())
 	streamDone := g.sawFin
 	g.mu.Unlock()
@@ -474,15 +480,15 @@ func (g *workerGroup) degrade(s *groupSlot) {
 // slotExit removes s from the group and closes the group when the last slot
 // leaves. Fini (run by the nest) must only fire once every slot is out, so
 // the close condition counts retiring slots too. A slot the watchdog
-// already abandoned is no longer in the group — its accounting was settled
-// at abandonment and the group may have closed (and the nest respawned)
-// long ago — so only the zombie gauge learns that the goroutine finally
-// exited.
+// abandoned is left to stalled(), which removes it and spawns any
+// replacement under one lock (a zombie that got here first would close a
+// group about to restart); its accounting was settled at abandonment, so
+// only the zombie gauge learns that the goroutine finally exited.
 func (g *workerGroup) slotExit(s *groupSlot) {
 	g.mu.Lock()
 	found := false
 	for i, other := range g.slots {
-		if other == s {
+		if other == s && s.winState.Load()&winAbandonedBit == 0 {
 			g.slots = append(g.slots[:i], g.slots[i+1:]...)
 			found = true
 			break
@@ -497,8 +503,10 @@ func (g *workerGroup) slotExit(s *groupSlot) {
 	if finished {
 		g.closed = true
 	}
-	g.mu.Unlock()
+	// Under g.mu, as ObserveWorkerStart in spawnLocked, so a Report taken
+	// after Wait never counts a slot that has already left.
 	g.stats.ObserveWorkerExit(s.retiring())
+	g.mu.Unlock()
 	if finished {
 		g.exec.unwatch(g)
 		close(g.done)
@@ -581,15 +589,7 @@ func (g *workerGroup) stalled(s *groupSlot, age time.Duration) {
 	duringDrain := g.r.suspending()
 	now := e.clock.Now()
 	g.mu.Lock()
-	cut := now.Add(-g.window)
-	kept := g.failTimes[:0]
-	for _, ft := range g.failTimes {
-		if ft.After(cut) {
-			kept = append(kept, ft)
-		}
-	}
-	g.failTimes = append(kept, now)
-	inWindow := len(g.failTimes)
+	inWindow := g.noteFailureLocked(now)
 	active := len(g.activeLocked())
 	streamDone := g.sawFin
 	g.mu.Unlock()

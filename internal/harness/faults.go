@@ -15,6 +15,17 @@ import (
 // up, so faulting them would only demonstrate escalation.
 var faultStages = []string{"segment", "extract", "index", "rank"}
 
+// policyArms are the failure-policy arms the faults and stalls experiments
+// run against their fault-free baseline.
+var policyArms = []struct {
+	name   string
+	policy core.FailurePolicy
+}{
+	{"fail-stop", core.FailStop},
+	{"fail-restart", core.FailRestart},
+	{"fail-degrade", core.FailDegrade},
+}
+
 // Faults measures throughput under deterministic fault injection for each
 // failure policy. The same ferret batch and the same injected-panic
 // schedule (1% of stage iterations, fixed seed) run four times: fault-free
@@ -38,14 +49,7 @@ func Faults() (*Table, error) {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, baseline.row(baseline.rate))
-	for _, arm := range []struct {
-		name   string
-		policy core.FailurePolicy
-	}{
-		{"fail-stop", core.FailStop},
-		{"fail-restart", core.FailRestart},
-		{"fail-degrade", core.FailDegrade},
-	} {
+	for _, arm := range policyArms {
 		res, err := faultsArm(arm.name, 0.01, arm.policy)
 		if err != nil {
 			return nil, err

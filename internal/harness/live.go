@@ -214,14 +214,9 @@ func LivePower() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Register the power substrate: linear model over busy contexts read
-	// through a fast PDU (the live run lasts ~seconds; the paper's
-	// 13-samples/minute PDU would never refresh).
-	model := power.NewDefaultModel(liveContexts)
-	pdu := power.NewPDU(func() float64 {
-		return model.Watts(e.Contexts().Busy())
-	}, 50*time.Millisecond, e.Clock())
-	e.Features().Register(platform.FeatureSystemPower, pdu.FeatureCB())
+	// A fast PDU: the live run lasts ~seconds, and the paper's
+	// 13-samples/minute PDU would never refresh.
+	power.Register(e.Features(), e.Contexts(), 50*time.Millisecond, e.Clock())
 
 	if err := e.Start(); err != nil {
 		return nil, err
@@ -269,11 +264,7 @@ func LiveGoals() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := power.NewDefaultModel(liveContexts)
-	pdu := power.NewPDU(func() float64 {
-		return model.Watts(e.Contexts().Busy())
-	}, 50*time.Millisecond, e.Clock())
-	e.Features().Register(platform.FeatureSystemPower, pdu.FeatureCB())
+	power.Register(e.Features(), e.Contexts(), 50*time.Millisecond, e.Clock())
 	if err := e.Start(); err != nil {
 		return nil, err
 	}
@@ -306,7 +297,7 @@ func LiveGoals() (*Table, error) {
 		for s.Meter.Total() < startN+perPhase {
 			time.Sleep(2 * time.Millisecond)
 		}
-		elapsed := e.Clock().Since(start).Seconds()
+		elapsed := e.Clock().Now().Sub(start).Seconds()
 		pw, _ := e.Features().Value(platform.FeatureSystemPower)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(i + 1), ph.name,

@@ -76,14 +76,7 @@ func stallsRun() (*Table, *stallsRaw, error) {
 	}
 	raw.arms[baseline.name] = baseline
 	t.Rows = append(t.Rows, baseline.row(baseline.rate))
-	for _, arm := range []struct {
-		name   string
-		policy core.FailurePolicy
-	}{
-		{"fail-stop", core.FailStop},
-		{"fail-restart", core.FailRestart},
-		{"fail-degrade", core.FailDegrade},
-	} {
+	for _, arm := range policyArms {
 		res, err := stallsArm(arm.name, stallRate, arm.policy)
 		if err != nil {
 			return nil, nil, err

@@ -1,11 +1,11 @@
 // Package microbench measures the executive's own per-task overhead — the
-// Begin/End hot path — outside `go test`, so cmd/dope-bench can emit a
-// benchmark trajectory file (BENCH_beginend.json) that is checked in and
-// compared across PRs. The paper's §8.2 requires DoPE's monitoring and
+// Begin/End hot path and the inter-stage queue hop — outside `go test`, so
+// cmd/dope-bench can emit a benchmark trajectory file (BENCH_beginend.json)
+// that is checked in and compared across PRs. The paper's §8.2 requires DoPE's monitoring and
 // orchestration overhead to stay negligible relative to task grain; these
 // numbers are the repo's standing evidence.
 //
-// Two variants bracket the interesting regimes:
+// The variants bracket the interesting regimes:
 //
 //   - BeginEnd: one worker, one hardware context — the uncontended fast
 //     path. The CI gate requires 0 allocs/op here.
@@ -21,6 +21,9 @@
 //     collector runs entirely off the hot path, so this is gated at
 //     0 allocs/op too: its own sampling allocations amortize below one
 //     object per million iterations.
+//   - QueueHop: one uncontended stage-to-stage hop (Enqueue then Dequeue
+//     on a cap-8 queue.Queue, sojourn stamps included), the per-item cost
+//     every pipeline stage boundary adds. Gated at 0 allocs/op.
 package microbench
 
 import (
@@ -32,6 +35,7 @@ import (
 	"dope/internal/core"
 	"dope/internal/metrics"
 	"dope/internal/platform"
+	"dope/internal/queue"
 )
 
 // Result is one benchmark measurement.
@@ -168,7 +172,23 @@ func runBeginEndCollector(b *testing.B) {
 	}
 }
 
-// BeginEnd runs the Begin/End suite and returns its results.
+// runQueueHop moves b.N items one at a time through a cap-8 queue on one
+// goroutine: the hop's own cost without scheduler handoffs.
+func runQueueHop(b *testing.B) {
+	b.ReportAllocs()
+	q := queue.New[int](8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := q.Enqueue(i); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := q.Dequeue(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BeginEnd runs the suite (queue hop included) and returns its results.
 func BeginEnd() []Result {
 	cases := []struct {
 		name  string
@@ -178,6 +198,7 @@ func BeginEnd() []Result {
 		{"BeginEndContended8", runBeginEnd(8)},
 		{"BeginEndMultiTenant", runBeginEndMultiTenant},
 		{"BeginEndCollector", runBeginEndCollector},
+		{"QueueHop", runQueueHop},
 	}
 	out := make([]Result, 0, len(cases))
 	for _, c := range cases {
@@ -195,17 +216,17 @@ func BeginEnd() []Result {
 
 // Gate enforces the benchmark acceptance floor: the uncontended Begin/End
 // path must be allocation-free — single-tenant, multi-tenant, and with a
-// live-ops collector attached alike. It returns an error naming the first
-// violation.
+// live-ops collector attached alike — and so must the queue hop. It
+// returns an error naming the first violation.
 func Gate(results []Result) error {
 	for _, r := range results {
 		switch r.Name {
-		case "BeginEnd", "BeginEndMultiTenant", "BeginEndCollector":
+		case "BeginEnd", "BeginEndMultiTenant", "BeginEndCollector", "QueueHop":
 		default:
 			continue
 		}
 		if r.AllocsPerOp > 0 {
-			return fmt.Errorf("microbench: %s allocates %d objects/op, want 0 (Begin/End fast path must be allocation-free)",
+			return fmt.Errorf("microbench: %s allocates %d objects/op, want 0 (the per-item fast path must be allocation-free)",
 				r.Name, r.AllocsPerOp)
 		}
 	}

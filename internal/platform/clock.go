@@ -1,6 +1,6 @@
 // Package platform models the parallel platform underneath DoPE: hardware
-// execution contexts, a feature registry for platform monitoring, and a
-// clock abstraction.
+// execution contexts, a feature registry for platform monitoring, a clock
+// abstraction, and the process's hot-path clock (NowNanos).
 //
 // The paper evaluates on a 24-core Intel Xeon X7460. We do not have that
 // machine; instead a Contexts token pool caps how many task instances may be
@@ -21,8 +21,6 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// Since returns the elapsed time since t.
-	Since(t time.Time) time.Duration
 	// NewTicker returns a ticker that delivers on multiples of d in this
 	// clock's time base. The executive's control loop runs on it, so a
 	// virtual clock drives control ticks deterministically.
@@ -44,9 +42,6 @@ type WallClock struct{}
 
 // Now implements Clock.
 func (WallClock) Now() time.Time { return time.Now() }
-
-// Since implements Clock.
-func (WallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 // NewTicker implements Clock over time.NewTicker.
 func (WallClock) NewTicker(d time.Duration) Ticker {
@@ -77,11 +72,6 @@ func (c *VirtualClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// Since implements Clock.
-func (c *VirtualClock) Since(t time.Time) time.Duration {
-	return c.Now().Sub(t)
 }
 
 // Advance moves the clock forward by d. Negative d is ignored; virtual time

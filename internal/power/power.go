@@ -110,6 +110,17 @@ type PDU struct {
 // DefaultSamplePeriod is the paper's AP7892 limit: 13 samples per minute.
 const DefaultSamplePeriod = time.Minute / 13
 
+// Register wires the simulated power substrate into features: the default
+// linear model over pool's busy contexts, observed through a PDU sampling
+// at most once per period on clock. It returns the model, so callers can
+// translate budgets.
+func Register(features *platform.Features, pool platform.ContextPool, period time.Duration, clock platform.Clock) *Model {
+	model := NewDefaultModel(pool.N())
+	pdu := NewPDU(func() float64 { return model.Watts(pool.Busy()) }, period, clock)
+	features.Register(platform.FeatureSystemPower, pdu.FeatureCB())
+	return model
+}
+
 // NewPDU returns a PDU that samples source at most once per period using
 // clock for time. A period of 0 or less disables rate limiting.
 func NewPDU(source func() float64, period time.Duration, clock platform.Clock) *PDU {

@@ -12,6 +12,10 @@
 //   - Close, which wakes all blocked consumers — the moral equivalent of the
 //     sentinel NULL token, but race-free for multi-consumer stages,
 //   - occupancy statistics (peak, enqueue/dequeue counts) for the monitors.
+//
+// Items live in a ring buffer that grows by doubling — up to the capacity of
+// a bounded queue, without limit for an unbounded one — and never shrinks,
+// so a queue at its working size moves items without allocating.
 package queue
 
 import (
@@ -20,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dope/internal/platform"
 	"dope/internal/stats"
 )
 
@@ -72,13 +77,23 @@ func (p OverloadPolicy) String() string {
 	}
 }
 
+// slot is one ring entry: an item and its enqueue time in unix nanoseconds.
+type slot[T any] struct {
+	item T
+	at   int64
+}
+
 // Queue is a FIFO of items of type T, safe for any number of concurrent
 // producers and consumers. A capacity of 0 means unbounded.
 type Queue[T any] struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
-	items    []T
+	// ring holds the n queued items in order from ring[head], wrapping at
+	// len(ring). Popped slots are zeroed so the GC can reclaim their items.
+	ring     []slot[T]
+	head     int
+	n        int
 	capacity int
 	policy   OverloadPolicy
 	closed   bool
@@ -96,22 +111,20 @@ type Queue[T any] struct {
 	// regression test for the enqueue side.
 	wakeCh chan struct{}
 
-	// Sojourn tracking: stamps mirrors items (each element's enqueue time in
-	// UnixNano) and every dequeue folds the item's wait into the EWMA.
-	// Shed items — the head dropped by ShedOldest, the newcomer refused by
-	// ShedNewest — are deliberately NOT folded: they never received service,
-	// and counting their waits would let survivorship skew the estimate the
-	// what-if profiler reads (under shed-oldest the longest waiters are
-	// exactly the ones dropped, so folding them would overstate the sojourn
-	// of the work that actually flowed — and folding the refused newcomers'
-	// zero waits would understate it). nowFn is the injectable clock for
-	// tests and simulations.
-	stamps     []int64
-	nowFn      func() int64
-	sojourn    *stats.EWMA
-	sojournObs uint64
+	// Sojourn tracking: each slot carries its item's enqueue time and every
+	// dequeue folds the item's wait into the EWMA. Shed items — the head
+	// dropped by ShedOldest, the newcomer refused by ShedNewest — are
+	// deliberately NOT folded: they never received service, and counting
+	// their waits would let survivorship skew the estimate the what-if
+	// profiler reads (under shed-oldest the longest waiters are exactly the
+	// ones dropped, so folding them would overstate the sojourn of the work
+	// that actually flowed — and folding the refused newcomers' zero waits
+	// would understate it). nowFn is the injectable clock for tests and
+	// simulations.
+	nowFn   func() int64
+	sojourn *stats.EWMA
 
-	occupancy atomic.Int64 // mirrors len(items) for lock-free Len
+	occupancy atomic.Int64 // mirrors n for lock-free Len
 	enqueued  atomic.Uint64
 	dequeued  atomic.Uint64
 	shed      atomic.Uint64
@@ -126,17 +139,11 @@ func New[T any](capacity int) *Queue[T] {
 // NewWithPolicy returns an empty queue with the given overload policy. The
 // policy only matters for bounded queues; an unbounded queue never sheds.
 func NewWithPolicy[T any](capacity int, policy OverloadPolicy) *Queue[T] {
-	q := &Queue[T]{capacity: capacity, policy: policy}
+	platform.CalibrateClock()
+	q := &Queue[T]{capacity: capacity, policy: policy, sojourn: stats.NewEWMA(sojournAlpha)}
 	q.notEmpty = sync.NewCond(&q.mu)
 	q.notFull = sync.NewCond(&q.mu)
 	return q
-}
-
-// Policy returns the queue's overload policy.
-func (q *Queue[T]) Policy() OverloadPolicy {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.policy
 }
 
 // Enqueue appends item. On a full bounded queue the overload policy
@@ -146,7 +153,7 @@ func (q *Queue[T]) Policy() OverloadPolicy {
 func (q *Queue[T]) Enqueue(item T) error {
 	q.mu.Lock()
 	if q.policy == Block {
-		for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+		for q.fullLocked() && !q.closed {
 			q.notFull.Wait()
 		}
 	}
@@ -154,26 +161,45 @@ func (q *Queue[T]) Enqueue(item T) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.fullLocked() {
 		switch q.policy {
 		case ShedNewest:
 			q.shed.Add(1)
 			q.mu.Unlock()
 			return ErrShed
 		case ShedOldest:
-			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
-			// Drop the head's stamp without folding it into the sojourn
+			// Drop the head without folding its stamp into the sojourn
 			// EWMA: a shed item was never served, and its (maximal) wait
-			// would skew the survivor estimate. See the stamps field doc.
-			q.stamps = q.stamps[1:]
+			// would skew the survivor estimate. See the sojourn field doc.
+			q.popLocked()
 			q.shed.Add(1)
 		}
 	}
-	q.items = append(q.items, item)
-	q.stamps = append(q.stamps, q.nowNanosLocked())
-	n := int64(len(q.items))
+	q.pushLocked(item)
+	q.mu.Unlock()
+	return nil
+}
+
+// fullLocked reports whether a bounded queue is at capacity. Called with
+// q.mu held.
+func (q *Queue[T]) fullLocked() bool {
+	return q.capacity > 0 && q.n >= q.capacity
+}
+
+// pushLocked appends item with the current stamp, growing the ring when it
+// is full, and publishes the new occupancy to Len, Peak and the waiters.
+// Called with q.mu held and room for the item.
+func (q *Queue[T]) pushLocked(item T) {
+	if q.n == len(q.ring) {
+		q.growLocked()
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = slot[T]{item: item, at: q.nowNanosLocked()}
+	q.n++
+	n := int64(q.n)
 	q.occupancy.Store(n)
 	for {
 		p := q.peak.Load()
@@ -184,8 +210,50 @@ func (q *Queue[T]) Enqueue(item T) error {
 	q.enqueued.Add(1)
 	q.notEmpty.Signal()
 	q.wakeLocked()
-	q.mu.Unlock()
-	return nil
+}
+
+// growLocked doubles the ring (from 4 slots), never past a bounded queue's
+// capacity, and unwraps the items to start at index 0. Called with q.mu
+// held.
+func (q *Queue[T]) growLocked() {
+	size := max(2*len(q.ring), 4)
+	if q.capacity > 0 {
+		size = min(size, q.capacity)
+	}
+	ring := make([]slot[T], size)
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// popLocked removes and returns the head slot, zeroing it so the GC can
+// reclaim the item. Called with q.mu held on a nonempty queue; the caller
+// publishes the new occupancy (the shed-oldest swap never lets Len dip).
+func (q *Queue[T]) popLocked() slot[T] {
+	s := q.ring[q.head]
+	q.ring[q.head] = slot[T]{}
+	q.head++
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return s
+}
+
+// serveLocked pops the head for service: it folds the item's wait into the
+// sojourn EWMA and wakes a producer blocked on a full queue. Called with
+// q.mu held on a nonempty queue.
+func (q *Queue[T]) serveLocked() T {
+	s := q.popLocked()
+	q.occupancy.Store(int64(q.n))
+	d := q.nowNanosLocked() - s.at
+	if d < 0 {
+		d = 0
+	}
+	q.sojourn.Observe(float64(d) / 1e9)
+	q.dequeued.Add(1)
+	q.notFull.Signal()
+	return s.item
 }
 
 // wakeLocked wakes all DequeueWhile waiters. Called with q.mu held.
@@ -204,22 +272,10 @@ func (q *Queue[T]) TryEnqueue(item T) (bool, error) {
 	if q.closed {
 		return false, ErrClosed
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.fullLocked() {
 		return false, nil
 	}
-	q.items = append(q.items, item)
-	q.stamps = append(q.stamps, q.nowNanosLocked())
-	n := int64(len(q.items))
-	q.occupancy.Store(n)
-	for {
-		p := q.peak.Load()
-		if n <= p || q.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
-	q.enqueued.Add(1)
-	q.notEmpty.Signal()
-	q.wakeLocked()
+	q.pushLocked(item)
 	return true, nil
 }
 
@@ -227,22 +283,15 @@ func (q *Queue[T]) TryEnqueue(item T) (bool, error) {
 // empty. Once the queue is closed and drained it returns ErrClosed.
 func (q *Queue[T]) Dequeue() (T, error) {
 	q.mu.Lock()
-	for len(q.items) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait()
 	}
-	var zero T
-	if len(q.items) == 0 { // closed and drained
+	if q.n == 0 { // closed and drained
 		q.mu.Unlock()
+		var zero T
 		return zero, ErrClosed
 	}
-	item := q.items[0]
-	q.items[0] = zero // allow GC of the element
-	q.items = q.items[1:]
-	q.observeSojournLocked(q.stamps[0])
-	q.stamps = q.stamps[1:]
-	q.occupancy.Store(int64(len(q.items)))
-	q.dequeued.Add(1)
-	q.notFull.Signal()
+	item := q.serveLocked()
 	q.mu.Unlock()
 	return item, nil
 }
@@ -253,22 +302,14 @@ func (q *Queue[T]) Dequeue() (T, error) {
 func (q *Queue[T]) TryDequeue() (T, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var zero T
-	if len(q.items) == 0 {
+	if q.n == 0 {
+		var zero T
 		if q.closed {
 			return zero, false, ErrClosed
 		}
 		return zero, false, nil
 	}
-	item := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	q.observeSojournLocked(q.stamps[0])
-	q.stamps = q.stamps[1:]
-	q.occupancy.Store(int64(len(q.items)))
-	q.dequeued.Add(1)
-	q.notFull.Signal()
-	return item, true, nil
+	return q.serveLocked(), true, nil
 }
 
 // DequeueWhile dequeues like Dequeue but gives up when keepWaiting returns
@@ -323,7 +364,7 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 func (q *Queue[T]) dequeueWait() <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) > 0 || q.closed {
+	if q.n > 0 || q.closed {
 		return nil
 	}
 	if q.wakeCh == nil {
@@ -381,26 +422,11 @@ func (q *Queue[T]) nowNanosLocked() int64 {
 	if q.nowFn != nil {
 		return q.nowFn()
 	}
-	return time.Now().UnixNano()
-}
-
-// observeSojournLocked folds one dequeued item's wait into the sojourn EWMA.
-// Callers hold q.mu. Only served items reach here; the shed paths bypass it
-// by construction (see the stamps field doc).
-func (q *Queue[T]) observeSojournLocked(enqueuedAt int64) {
-	d := q.nowNanosLocked() - enqueuedAt
-	if d < 0 {
-		d = 0
-	}
-	if q.sojourn == nil {
-		q.sojourn = stats.NewEWMA(sojournAlpha)
-	}
-	q.sojourn.Observe(float64(d) / 1e9)
-	q.sojournObs++
+	return platform.NowNanos()
 }
 
 // SetNowFunc installs a clock for sojourn stamps (UnixNano). Pass nil to
-// restore the wall clock. Intended for tests and virtual-time simulations;
+// restore the process's hot-path clock (platform.NowNanos). Intended for tests and virtual-time simulations;
 // call before the queue is shared between goroutines.
 func (q *Queue[T]) SetNowFunc(now func() int64) {
 	q.mu.Lock()
@@ -418,9 +444,6 @@ func (q *Queue[T]) SetNowFunc(now func() int64) {
 func (q *Queue[T]) MeanSojourn() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.sojourn == nil {
-		return 0
-	}
 	return q.sojourn.Value()
 }
 
@@ -429,5 +452,5 @@ func (q *Queue[T]) MeanSojourn() float64 {
 func (q *Queue[T]) SojournSamples() uint64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.sojournObs
+	return q.sojourn.Count()
 }
